@@ -447,9 +447,11 @@ impl AdaptiveRefit {
         let Some(artifact) = model.artifact() else {
             return Ok(0);
         };
+        // Score the model's own reference (in-sample), then copy it:
+        // repairs below mutate the model while the copy is read.
+        let cells: Vec<CellId> = artifact.reference().cell_ids().collect();
+        let scores = model.score_batch(artifact.reference(), &cells)?;
         let reference = artifact.reference().clone();
-        let cells: Vec<CellId> = reference.cell_ids().collect();
-        let scores = model.score_batch(&reference, &cells)?;
         let threshold = model.threshold();
         let budget = labels.len().min(self.cfg.max_labels);
         let labeled: std::collections::HashSet<usize> =

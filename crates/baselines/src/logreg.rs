@@ -62,21 +62,14 @@ impl LrFeatures {
         self.reference.n_attrs().saturating_sub(1) + 1 + self.n_constraints
     }
 
-    /// Is the queried tuple literally a reference tuple? Then fit-time
-    /// violation semantics (self-excluding counts) apply.
-    fn row_matches_reference(&self, d: &Dataset, t: usize) -> bool {
-        std::ptr::eq(d, &self.reference)
-            || (t < self.reference.n_tuples()
-                && (0..self.reference.n_attrs())
-                    .all(|a| d.value(t, a) == self.reference.value(t, a)))
-    }
-
     fn vector(&self, data: &Dataset, cell: CellId, value: &str) -> Vec<f32> {
         let (t, a) = (cell.t(), cell.a());
         let mut v = self.cooc.features(data, t, a, value);
         v.push(self.empirical[a].prob(value));
         if let Some(engine) = &self.violations {
-            let counts = if self.row_matches_reference(data, t) {
+            // Fit-time (self-excluding) counts for the reference itself;
+            // any other dataset's tuples are external to it.
+            let counts = if std::ptr::eq(data, &self.reference) {
                 if value == self.reference.value(t, a) {
                     engine.tuple_vector(t)
                 } else {
@@ -134,7 +127,7 @@ impl Detector for LogisticRegression {
         let rows: Vec<Vec<f32>> = train
             .examples()
             .iter()
-            .map(|ex| feats.vector(ctx.dirty, ex.cell, &ex.observed))
+            .map(|ex| feats.vector(&feats.reference, ex.cell, &ex.observed))
             .collect();
         let targets: Vec<usize> = train
             .examples()

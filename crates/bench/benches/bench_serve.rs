@@ -20,7 +20,6 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
 
 const CLIENTS: usize = 4;
 const REQUESTS_PER_CLIENT: usize = 4;
@@ -130,17 +129,14 @@ fn start_prof(
 fn unbatched() -> BatchConfig {
     BatchConfig {
         max_batch_cells: 1, // singleton groups: every request scores solo
-        max_wait: Duration::ZERO,
     }
 }
 
 fn batched() -> BatchConfig {
-    // The cell budget matches the offered load (4 clients x 20 cells),
-    // so under concurrency the gather window closes on the budget —
-    // max_wait only bounds the tail when traffic dries up.
+    // The cell budget matches the offered load (4 clients x 20 cells):
+    // requests that queue up while a call runs merge into the next one.
     BatchConfig {
         max_batch_cells: 64,
-        max_wait: Duration::from_millis(2),
     }
 }
 

@@ -90,7 +90,6 @@ fn main() -> ExitCode {
             },
             batch: BatchConfig {
                 max_batch_cells: 64,
-                max_wait: Duration::from_millis(2),
             },
             trace: TraceConfig::default(),
             prof: ProfConfig { enabled: true },

@@ -27,21 +27,15 @@ const NN_CACHE_CAP: usize = 1 << 16;
 /// amortize the queue's atomic bump.
 const BATCH_GRAIN: usize = 16;
 
-/// Per-batch memo for violation queries against a *foreign* dataset.
+/// Per-batch memo for violation queries against a *foreign* dataset:
+/// tuple → external violation vector for its *observed* values.
 ///
-/// All cells of one tuple share the same external violation vector (for
-/// their observed values) and the same alignment verdict, but the
-/// per-cell query API cannot know it is being called `n_attrs` times
-/// per tuple. Batch featurization threads each carry one of these so
-/// the block scans and row comparisons run once per tuple instead of
-/// once per cell. Only valid for a single queried dataset.
-#[derive(Default)]
-struct ViolMemo {
-    /// tuple → does it match the reference row of the same index?
-    aligned: HashMap<usize, bool>,
-    /// tuple → external violation vector for its *observed* values.
-    foreign_observed: HashMap<usize, Vec<u32>>,
-}
+/// All cells of one tuple share that vector, but the per-cell query API
+/// cannot know it is being called `n_attrs` times per tuple. Batch
+/// featurization threads each carry one of these so the block scans run
+/// once per tuple instead of once per cell. Only valid for a single
+/// queried dataset.
+type ViolMemo = HashMap<usize, Vec<u32>>;
 
 /// The fitted representation model `Q` — an owned, dataset-independent
 /// artifact.
@@ -53,9 +47,12 @@ struct ViolMemo {
 /// [`Featurizer::features_with_value`]. Value statistics come from the
 /// fit-time models; tuple context (co-occurrence partners, tuple
 /// embeddings) comes from the queried dataset; constraint violations are
-/// counted against the reference — with a per-cell fast path when the
-/// queried tuple *is* a reference tuple (same row, same values), which
-/// reproduces fit-time semantics exactly.
+/// counted against the reference. Only the reference itself (the
+/// dataset [`Featurizer::reference`] returns) gets fit-time in-sample
+/// violation semantics, where a tuple's conflicts exclude the tuple
+/// itself. Every other dataset, a clone of the reference included, is
+/// scored as external tuples, so a row's features never depend on its
+/// index.
 ///
 /// All queries are `&self` and thread-safe, so batch featurization
 /// parallelizes with scoped threads.
@@ -304,19 +301,6 @@ impl Featurizer {
         &self.constraints
     }
 
-    /// Is the queried tuple literally a reference tuple — same row
-    /// index, same values? Then fit-time violation semantics apply
-    /// (conflict counts exclude the tuple itself); otherwise the tuple
-    /// is scored as an external one against the reference.
-    fn row_matches_reference(&self, d: &Dataset, t: usize) -> bool {
-        if std::ptr::eq(d, &self.reference) {
-            return true;
-        }
-        t < self.reference.n_tuples()
-            && d.n_attrs() == self.n_attrs
-            && (0..self.n_attrs).all(|a| d.value(t, a) == self.reference.value(t, a))
-    }
-
     /// Features for a cell of `d` (the dataset being scored — the
     /// reference or any schema-compatible batch) with its observed value.
     pub fn features(&self, d: &Dataset, cell: CellId) -> Vec<f32> {
@@ -331,8 +315,9 @@ impl Featurizer {
         self.features_memo(d, cell, value, &mut ViolMemo::default())
     }
 
-    /// The violation-count vector for cell `(t, a)` holding `value`,
-    /// routed through the per-tuple memo for foreign datasets.
+    /// The violation-count vector for cell `(t, a)` holding `value`:
+    /// in-sample for the reference itself, external (routed through the
+    /// per-tuple memo) for any other dataset.
     fn violation_counts(
         &self,
         engine: &ViolationEngine,
@@ -342,23 +327,14 @@ impl Featurizer {
         value: &str,
         memo: &mut ViolMemo,
     ) -> Vec<u32> {
-        let aligned = if std::ptr::eq(d, &self.reference) {
-            true
-        } else {
-            *memo
-                .aligned
-                .entry(t)
-                .or_insert_with(|| self.row_matches_reference(d, t))
-        };
-        if aligned {
-            if value == self.reference.value(t, a) {
+        if std::ptr::eq(d, &self.reference) {
+            if value == d.value(t, a) {
                 engine.tuple_vector(t)
             } else {
-                engine.tuple_vector_with_override(&self.reference, t, a, value)
+                engine.tuple_vector_with_override(d, t, a, value)
             }
         } else if value == d.value(t, a) {
-            memo.foreign_observed
-                .entry(t)
+            memo.entry(t)
                 .or_insert_with(|| {
                     let values: Vec<&str> = (0..self.n_attrs).map(|c| d.value(t, c)).collect();
                     engine.external_tuple_vector(&self.reference, &values)
@@ -1074,17 +1050,18 @@ mod tests {
 
     #[test]
     fn violation_feature_reflects_overrides() {
-        let (d, f) = fitted();
+        let (_, f) = fitted();
         let viol_idx = f
             .layout()
             .wide_names
             .iter()
             .position(|n| n == "violations:dc0")
             .unwrap();
-        // The typo row participates in violations; fixing it clears them.
+        // The typo row participates in violations; fixing it clears them
+        // (in-sample: the override is queried on the reference itself).
         let typo_cell = CellId::new(40, 1);
-        let dirty = f.features(&d, typo_cell);
-        let fixed = f.features_with_value(&d, typo_cell, "Chicago");
+        let dirty = f.features(f.reference(), typo_cell);
+        let fixed = f.features_with_value(f.reference(), typo_cell, "Chicago");
         assert!(dirty[viol_idx] > 0.0);
         assert_eq!(fixed[viol_idx], 0.0);
     }
@@ -1318,7 +1295,7 @@ mod tests {
         // Scores on the (grown) reference itself…
         assert_eq!(
             feature_bits(&f, f.reference()),
-            feature_bits(&rebuilt, &replica)
+            feature_bits(&rebuilt, rebuilt.reference())
         );
         // …and on a foreign batch mixing seen and unseen values.
         let mut b = DatasetBuilder::new(Schema::new(["Zip", "City", "State"]));

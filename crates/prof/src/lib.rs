@@ -91,12 +91,13 @@ pub fn enabled() -> bool {
     alloc::ENABLED.load(Ordering::Relaxed)
 }
 
-/// Saturating add on a relaxed atomic counter.
+/// Saturating add on a relaxed atomic counter: a lifetime counter pegs
+/// at `u64::MAX` instead of wrapping back to zero and faking a reset.
 ///
 /// The workspace's counter-discipline lint bans `fetch_add` (which
-/// wraps) in instrumented crates; every counter bump in this crate
-/// funnels through here instead.
-pub(crate) fn sat_add(counter: &AtomicU64, v: u64) {
+/// wraps) in instrumented crates; their lifetime counters call this
+/// one helper instead.
+pub fn sat_add(counter: &AtomicU64, v: u64) {
     let _ = counter.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |c| {
         Some(c.saturating_add(v))
     });

@@ -6,25 +6,24 @@
 //! much cheaper than sixteen 16-cell calls. The batcher exploits that:
 //! HTTP workers submit `(model, dataset, cells)` jobs and block on a
 //! reply channel; a single batcher thread takes the first queued job,
-//! gathers compatible jobs for up to [`BatchConfig::max_wait`] (or until
+//! adds every compatible job already waiting (until
 //! [`BatchConfig::max_batch_cells`] cells are pending), merges their
 //! rows into one dataset, issues **one** `score_batch`, and fans the
-//! scores back out.
+//! scores back out. It never waits for traffic that has not arrived:
+//! under load, requests queue up while a call runs and the next round
+//! merges them; on an idle server a request is scored the moment it
+//! arrives.
 //!
-//! ## Merge safety — why served scores stay bitwise-identical
+//! ## Why merging never changes a score
 //!
 //! Scores must be *exactly* what the caller would have gotten from a
-//! direct `score_batch` on its own dataset. Every HoloDetect feature is
-//! row-local (format/empirical/co-occurrence models query the cell's own
-//! row against fit-time statistics) **except** one: the violation
-//! featurizer has an index-aligned fast path — a queried row whose index
-//! `t` and values match reference row `t` is scored with fit-time
-//! self-excluding semantics. Merging shifts row indices, which could
-//! flip that alignment. The internal `merge_safe` check therefore admits a job into a
-//! merged batch only if none of its rows is reference-aligned at either
-//! its original or its shifted index; anything else is scored solo.
-//! The check is O(rows × attrs) string comparisons per job — noise next
-//! to featurization.
+//! direct `score_batch` on its own dataset. Every HoloDetect feature of
+//! a submitted row is a function of the row's values and the model's
+//! fit-time statistics, never of the row's index: violation counts for
+//! any dataset other than the model's own reference are external
+//! counts against that reference. So jobs that share a model and a
+//! schema can be concatenated in any order, for static and streamed
+//! models alike.
 
 use crate::metrics::Metrics;
 use crate::registry::ServedModel;
@@ -33,27 +32,22 @@ use holo_eval::ModelError;
 use holo_prof::{PoolStats, ProfMutex};
 use holo_trace::Stopwatch;
 use std::collections::VecDeque;
-use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 /// Batching knobs.
 #[derive(Debug, Clone)]
 pub struct BatchConfig {
-    /// Stop gathering once this many cells are pending in the group.
+    /// Stop merging once this many cells are pending in the group.
     /// `1` disables coalescing (every request scores solo).
     pub max_batch_cells: usize,
-    /// How long the batcher waits for more requests to coalesce after
-    /// the first one arrives. Zero disables waiting.
-    pub max_wait: Duration,
 }
 
 impl Default for BatchConfig {
     fn default() -> Self {
         BatchConfig {
             max_batch_cells: 512,
-            max_wait: Duration::from_millis(2),
         }
     }
 }
@@ -64,7 +58,7 @@ impl Default for BatchConfig {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ScoreTiming {
     /// Time between enqueue and the start of the `score_batch` call
-    /// that served this job (the gather window plus any backlog).
+    /// that served this job (queueing behind earlier calls).
     pub batch_wait_micros: u64,
     /// Duration of the `score_batch` call itself (shared by every job
     /// in a merged batch).
@@ -78,12 +72,15 @@ pub struct ScoreTiming {
     pub score_alloc_bytes: u64,
 }
 
+/// What a job's caller receives: its scores (or typed error) plus timing.
+type Reply = (Result<Vec<f64>, ModelError>, ScoreTiming);
+
 struct Job {
     model: Arc<ServedModel>,
     data: Dataset,
     cells: Vec<CellId>,
     enqueued: Stopwatch,
-    reply: Sender<(Result<Vec<f64>, ModelError>, ScoreTiming)>,
+    reply: Sender<Reply>,
 }
 
 /// The batching queue plus its worker thread.
@@ -102,12 +99,12 @@ impl MicroBatcher {
         let worker = std::thread::Builder::new()
             .name("holo-serve-batcher".into())
             .spawn(move || {
-                // The gather window counts as busy: coalesce occupancy
-                // is work the batcher chose, not starvation.
                 let pool = PoolStats::register("batcher");
+                // Jobs pulled off the channel but not yet scored, in
+                // arrival order.
                 let mut queue: VecDeque<Job> = VecDeque::new();
                 loop {
-                    // First job of the round: a stashed incompatible one,
+                    // First job of the round: the oldest queued one,
                     // else block for a fresh arrival. Disconnect + empty
                     // queue = shutdown complete.
                     let first = match queue.pop_front() {
@@ -123,48 +120,22 @@ impl MicroBatcher {
                         }
                     };
                     let round = Stopwatch::start();
-                    let deadline = Instant::now() + loop_cfg.max_wait;
+                    // Merge only what is already waiting: everything on
+                    // the wire joins the queue without blocking, then
+                    // compatible jobs leave it in arrival order.
+                    queue.extend(rx.try_iter());
                     let mut rest: Vec<Job> = Vec::new();
                     let mut group_cells = first.cells.len();
-                    let mut group_rows = first.data.n_tuples();
-                    // Absorb compatible jobs already waiting in the
-                    // queue (stashed in an earlier round), so stashed
-                    // traffic coalesces too instead of draining solo.
                     let mut i = 0;
                     while group_cells < loop_cfg.max_batch_cells {
                         match queue.get(i) {
                             None => break,
-                            Some(job) if compatible(&first, job, group_rows) => {
+                            Some(job) if compatible(&first, job) => {
                                 let Some(job) = queue.remove(i) else { break };
                                 group_cells += job.cells.len();
-                                group_rows += job.data.n_tuples();
                                 rest.push(job);
                             }
                             Some(_) => i += 1,
-                        }
-                    }
-                    let mut stash: VecDeque<Job> = VecDeque::new();
-                    // Only wait on the wire when there is no backlog —
-                    // queued jobs should not sit behind a gather timer.
-                    while queue.is_empty() && group_cells < loop_cfg.max_batch_cells {
-                        let left = deadline.saturating_duration_since(Instant::now());
-                        let job = match rx.recv_timeout(left) {
-                            Ok(j) => j,
-                            // Timeout: the window closed. Disconnected:
-                            // drain mode — run what we have.
-                            Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => {
-                                break
-                            }
-                        };
-                        if compatible(&first, &job, group_rows) {
-                            group_cells += job.cells.len();
-                            group_rows += job.data.n_tuples();
-                            rest.push(job);
-                        } else {
-                            stash.push_back(job);
-                            if stash.len() >= 64 {
-                                break; // don't hoard other models' work
-                            }
                         }
                     }
                     // Scoring runs user-model code; a panic there must
@@ -173,7 +144,6 @@ impl MicroBatcher {
                     let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         execute(first, rest, &metrics)
                     }));
-                    queue.append(&mut stash);
                     pool.record_busy(round.elapsed_micros());
                 }
             })?;
@@ -267,50 +237,10 @@ fn shut_down() -> ModelError {
     ModelError::Io(std::io::Error::other("serving batcher is shut down"))
 }
 
-/// May `job` join a merged batch led by `first`, with `offset` rows
-/// already ahead of it?
-fn compatible(first: &Job, job: &Job, offset: usize) -> bool {
-    Arc::ptr_eq(&first.model, &job.model)
-        && first.data.schema() == job.data.schema()
-        && merge_safe(&job.model, &job.data, offset)
-}
-
-/// True when every row of `data` scores identically whether the dataset
-/// is scored alone or spliced into a merged batch at row `offset`: no
-/// row may be reference-aligned (same index, same values) at either its
-/// original index or its shifted one. See the module docs.
-fn merge_safe(model: &ServedModel, data: &Dataset, offset: usize) -> bool {
-    if model.live().is_some() {
-        // A live model's reference mutates between the admission check
-        // and the merged call; the alignment verdict cannot be pinned,
-        // so streamed models always score solo.
-        return false;
-    }
-    let Some(static_model) = model.static_model() else {
-        // Neither live nor static should be unreachable; score solo
-        // rather than guess about alignment.
-        return false;
-    };
-    let Some(artifact) = static_model.artifact() else {
-        return true; // degenerate model: every score is 0 regardless
-    };
-    let reference = artifact.reference();
-    let n_ref = reference.n_tuples();
-    let na = data.n_attrs();
-    if reference.n_attrs() != na {
-        return false; // will error either way — keep the blast radius solo
-    }
-    let row_eq = |t: usize, r: usize| (0..na).all(|a| data.value(t, a) == reference.value(r, a));
-    for t in 0..data.n_tuples() {
-        if t < n_ref && row_eq(t, t) {
-            return false;
-        }
-        let shifted = t + offset;
-        if shifted < n_ref && row_eq(t, shifted) {
-            return false;
-        }
-    }
-    true
+/// May `job` join a merged batch led by `first`? Same model, same
+/// schema: rows score the same at any index (see the module docs).
+fn compatible(first: &Job, job: &Job) -> bool {
+    Arc::ptr_eq(&first.model, &job.model) && first.data.schema() == job.data.schema()
 }
 
 /// Run scoring work behind panic isolation: model code must never be
@@ -417,13 +347,19 @@ fn execute(first: Job, rest: Vec<Job>, metrics: &Metrics) {
 mod tests {
     use super::*;
     use crate::registry::ModelRegistry;
+    use holo_constraints::parse_constraints;
     use holo_data::{GroundTruth, Schema};
     use holo_eval::FitContext;
+    use holo_stream::{LiveModel, StreamConfig};
     use holodetect::{HoloDetect, HoloDetectConfig};
+    use std::path::PathBuf;
+    use std::sync::mpsc::Receiver;
 
-    /// Fit a small real model, save it, and load it through the registry
-    /// (the shape the server uses).
-    fn served_model() -> (Arc<ServedModel>, Dataset) {
+    /// Fit a small real model and save it. Its one constraint's residual
+    /// accepts an identical pair, so a row scored in-sample (its own
+    /// reference copy excluded) and the same row scored as an external
+    /// tuple would get different violation counts.
+    fn fitted_artifact(tag: &str) -> (PathBuf, Dataset) {
         let mut b = DatasetBuilder::new(Schema::new(["Zip", "City"]));
         for _ in 0..25 {
             b.push_row(&["60612", "Chicago"]);
@@ -435,34 +371,78 @@ mod tests {
         dirty.set_value(7, 1, "Madxison");
         let truth = GroundTruth::from_pair(&clean, &dirty);
         let train = truth.label_tuples(&dirty, &(0..20).collect::<Vec<_>>());
+        let dcs = parse_constraints("t1.Zip = t2.Zip & t1.City ~ t2.City", dirty.schema())
+            .expect("constraints");
         let mut cfg = HoloDetectConfig::fast();
         cfg.epochs = 8;
         let fitted = HoloDetect::new(cfg).fit_model(&FitContext {
             dirty: &dirty,
             train: &train,
             sampling: None,
-            constraints: &[],
+            constraints: &dcs,
             seed: 3,
         });
         let path = std::env::temp_dir().join(format!(
-            "holo-serve-batch-{}-{:?}.bin",
+            "holo-serve-batch-{tag}-{}-{:?}.bin",
             std::process::id(),
             std::thread::current().id()
         ));
         fitted.save(&path).expect("save");
-        let reg = ModelRegistry::new();
-        let model = reg.load_insert("m", &path).expect("load");
+        (path, dirty)
+    }
+
+    /// The fitted model loaded through the registry as a static entry
+    /// (the shape the server uses), plus the dataset it was fitted on.
+    fn served_model() -> (Arc<ServedModel>, Dataset) {
+        let (path, dirty) = fitted_artifact("static");
+        let model = ModelRegistry::new().load_insert("m", &path).expect("load");
         std::fs::remove_file(&path).ok();
         (model, dirty)
     }
 
-    /// A foreign batch (rows the reference never saw, so merging is
-    /// always admissible).
+    /// The same fit served as a streamed (`LiveModel`) entry.
+    fn live_served_model() -> (Arc<ServedModel>, Dataset) {
+        let (path, dirty) = fitted_artifact("live");
+        let log = path.with_extension("dlog");
+        std::fs::remove_file(&log).ok();
+        let live = LiveModel::open(&path, &log, StreamConfig::default()).expect("open live");
+        let model = ModelRegistry::new().insert_live("m", Arc::new(live));
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&log).ok();
+        (model, dirty)
+    }
+
+    /// A foreign batch of rows the reference never saw.
     fn foreign_batch(tag: usize) -> Dataset {
         let mut b = DatasetBuilder::new(Schema::new(["Zip", "City"]));
         b.push_row(&[format!("606{tag:02}"), "Chicago".to_string()]);
         b.push_row(&["53703".to_string(), format!("Madiso{tag}")]);
         b.build()
+    }
+
+    /// A copy of rows `range` of `d`, re-indexed from 0.
+    fn rows(d: &Dataset, range: std::ops::Range<usize>) -> Dataset {
+        let mut b = DatasetBuilder::new(d.schema().clone());
+        for t in range {
+            b.push_row(&d.tuple_values(t));
+        }
+        b.build()
+    }
+
+    fn job(model: &Arc<ServedModel>, data: Dataset, cells: Vec<CellId>) -> (Job, Receiver<Reply>) {
+        let (reply, rx) = channel();
+        let job = Job {
+            model: Arc::clone(model),
+            data,
+            cells,
+            enqueued: Stopwatch::start(),
+            reply,
+        };
+        (job, rx)
+    }
+
+    fn bits(scores: &[f64]) -> Vec<u64> {
+        scores.iter().map(|p| p.to_bits()).collect()
     }
 
     #[test]
@@ -472,7 +452,6 @@ mod tests {
         let batcher = MicroBatcher::start(
             BatchConfig {
                 max_batch_cells: 64,
-                max_wait: Duration::from_millis(25),
             },
             Arc::clone(&metrics),
         )
@@ -497,8 +476,8 @@ mod tests {
             for h in handles {
                 let (direct, served) = h.join().expect("job thread");
                 assert_eq!(
-                    direct.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
-                    served.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
+                    bits(&direct),
+                    bits(&served),
                     "batched scores differ from direct score_batch"
                 );
             }
@@ -511,71 +490,69 @@ mod tests {
     }
 
     #[test]
-    fn reference_aligned_rows_still_score_identically() {
-        // Rows that *are* reference rows (aligned fast path) mixed with
-        // foreign ones: the safety check must keep parity exact.
-        let (model, dirty) = served_model();
-        let batcher = MicroBatcher::start(
-            BatchConfig {
-                max_batch_cells: 256,
-                max_wait: Duration::from_millis(25),
-            },
-            Arc::new(Metrics::new()),
-        )
-        .expect("start batcher");
-        // A dataset equal to the reference's first rows — aligned.
-        let mut b = DatasetBuilder::new(Schema::new(["Zip", "City"]));
-        for t in 0..6 {
-            b.push_row(&dirty.tuple_values(t));
-        }
-        let aligned = b.build();
+    fn reference_rows_score_the_same_at_any_position() {
+        // Reference row 3 at its own index (in a copy of the reference's
+        // first rows), alone at index 0, and spliced behind other jobs in
+        // a merged batch: every placement scores bitwise the same, for a
+        // static and a streamed model.
+        let at = |t: usize| vec![CellId::new(t, 0), CellId::new(t, 1)];
+        for (model, dirty) in [served_model(), live_served_model()] {
+            let kind = if model.live().is_some() {
+                "live"
+            } else {
+                "static"
+            };
+            let prefix = rows(&dirty, 0..4);
+            let alone = rows(&dirty, 3..4);
+            let own = model.score_batch(&prefix, &at(3)).expect("own index");
+            let shifted = model.score_batch(&alone, &at(0)).expect("shifted");
+            assert_eq!(bits(&own), bits(&shifted), "{kind}: own vs shifted index");
 
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..6)
-                .map(|i| {
-                    let model = Arc::clone(&model);
-                    let batcher = &batcher;
-                    let data = if i % 2 == 0 {
-                        aligned.clone()
-                    } else {
-                        foreign_batch(40 + i)
-                    };
-                    s.spawn(move || {
-                        let cells: Vec<CellId> = data.cell_ids().collect();
-                        let direct = model.score_batch(&data, &cells).expect("direct");
-                        let served = batcher
-                            .score(Arc::clone(&model), data, cells)
-                            .expect("served");
-                        assert_eq!(
-                            direct.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
-                            served.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
-                        );
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join().expect("job thread");
+            let metrics = Metrics::new();
+            let lead = foreign_batch(1);
+            let lead_cells: Vec<CellId> = lead.cell_ids().collect();
+            let (first, _) = job(&model, lead, lead_cells);
+            let (second, prefix_rx) = job(&model, prefix.clone(), at(3));
+            let (third, alone_rx) = job(&model, alone, at(0));
+            execute(first, vec![second, third], &metrics);
+            for (rx, placement) in [(prefix_rx, "index 5"), (alone_rx, "index 6")] {
+                let (scores, timing) = rx.recv().expect("reply");
+                assert_eq!(timing.merged_requests, 3, "{kind}: not merged");
+                let scores = scores.expect("merged score");
+                assert_eq!(bits(&scores), bits(&own), "{kind}: merged at {placement}");
             }
-        });
-        batcher.shutdown();
-    }
 
-    #[test]
-    fn merge_safe_flags_aligned_rows() {
-        let (model, dirty) = served_model();
-        // The reference itself at offset 0: aligned → unsafe to merge.
-        assert!(!merge_safe(&model, &dirty, 0));
-        // Foreign rows: safe at any offset.
-        let foreign = foreign_batch(9);
-        assert!(merge_safe(&model, &foreign, 0));
-        assert!(merge_safe(&model, &foreign, 17));
-        // A foreign batch whose row 0 equals reference row 3 becomes
-        // unsafe exactly when the offset would align them.
-        let mut b = DatasetBuilder::new(Schema::new(["Zip", "City"]));
-        b.push_row(&dirty.tuple_values(3));
-        let shifted = b.build();
-        assert!(!merge_safe(&model, &shifted, 3));
-        assert!(merge_safe(&model, &shifted, 4));
+            // Through the batcher, solo or merged with concurrent foreign
+            // jobs, served scores equal direct calls.
+            let batcher = MicroBatcher::start(BatchConfig::default(), Arc::new(Metrics::new()))
+                .expect("start batcher");
+            std::thread::scope(|s| {
+                let handles: Vec<_> = (0..6)
+                    .map(|i| {
+                        let model = Arc::clone(&model);
+                        let batcher = &batcher;
+                        let data = if i % 2 == 0 {
+                            prefix.clone()
+                        } else {
+                            foreign_batch(40 + i)
+                        };
+                        s.spawn(move || {
+                            let cells: Vec<CellId> = data.cell_ids().collect();
+                            let direct = model.score_batch(&data, &cells).expect("direct");
+                            let served = batcher
+                                .score(Arc::clone(&model), data, cells)
+                                .expect("served");
+                            (direct, served)
+                        })
+                    })
+                    .collect();
+                for h in handles {
+                    let (direct, served) = h.join().expect("job thread");
+                    assert_eq!(bits(&direct), bits(&served), "{kind}: batcher parity");
+                }
+            });
+            batcher.shutdown();
+        }
     }
 
     #[test]

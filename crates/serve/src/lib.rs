@@ -33,9 +33,9 @@
 //!   and background drift-triggered refit — endpoints
 //!   `POST .../rows`, `GET .../drift`, `POST .../refit`).
 //! * [`batch`] — [`batch::MicroBatcher`]: coalesces concurrent score
-//!   requests into larger `score_batch` calls under a max-batch /
-//!   max-wait policy, with a merge-safety rule that keeps served scores
-//!   bitwise-identical to direct in-process scoring.
+//!   requests into larger `score_batch` calls under a max-batch-cells
+//!   cap; served scores stay bitwise-identical to direct in-process
+//!   scoring.
 //! * [`metrics`] — saturating counters, monotonic latency/batch-size
 //!   histograms, and per-category [`holo_eval::ModelError`] counts on
 //!   `GET /metrics`, rendered as parseable Prometheus text format.
@@ -60,14 +60,16 @@
 //! ## Batching semantics
 //!
 //! A request is answered from the micro-batching queue: the batcher
-//! waits up to `max_wait` (default 2ms) after the first pending request,
-//! gathering compatible requests until `max_batch_cells` cells are
-//! pending, then issues one merged `score_batch`. Merging never changes
-//! scores: requests whose rows would collide with the model's reference
-//! rows under re-indexing are scored solo (see [`batch`] docs). Latency
-//! cost is bounded by `max_wait`; throughput gain comes from
-//! featurization fanning out across the model's worker threads once per
-//! merged call instead of once per request.
+//! takes the oldest pending request and merges every compatible request
+//! already queued (same model, same schema) until `max_batch_cells`
+//! cells are pending, then issues one merged `score_batch`. It never
+//! waits for more traffic, so an idle server adds no latency and a busy
+//! one merges whatever queued up during the previous call. Merging never
+//! changes scores: a served score depends only on the model and the
+//! row's values, not on the row's index in the merged batch (see
+//! [`batch`] docs). Throughput gain comes from featurization fanning out
+//! across the model's worker threads once per merged call instead of
+//! once per request.
 //!
 //! ## Quickstart
 //!

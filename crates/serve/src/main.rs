@@ -4,7 +4,7 @@
 //! holo-serve --model food=artifacts/food.holoart \
 //!            --model census=artifacts/census.holoart \
 //!            --addr 127.0.0.1:7878 --workers 8 \
-//!            --max-batch-cells 512 --max-wait-ms 2
+//!            --max-batch-cells 512
 //! ```
 
 #![forbid(unsafe_code)]
@@ -36,8 +36,8 @@ options:
   --addr HOST:PORT       listen address          (default 127.0.0.1:7878)
   --workers N            HTTP worker threads     (default 4)
   --max-body-bytes N     request body cap        (default 1048576)
-  --max-batch-cells N    micro-batch cell cap    (default 512; 1 disables batching)
-  --max-wait-ms N        micro-batch gather wait (default 2)
+  --max-batch-cells N    micro-batch cell cap    (default 512; 1 disables batching;
+                         only requests already queued are merged)
   --access-log           one JSON log line per request on stderr
                          (trace id, endpoint, status, micros)
   --trace-ring-bytes N   trace ring byte budget  (default 1048576)
@@ -99,12 +99,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--max-batch-cells" => {
                 args.batch.max_batch_cells =
                     parse_num(&value("--max-batch-cells")?, "--max-batch-cells")?;
-            }
-            "--max-wait-ms" => {
-                args.batch.max_wait = Duration::from_millis(parse_num(
-                    &value("--max-wait-ms")?,
-                    "--max-wait-ms",
-                )? as u64);
             }
             "--access-log" => args.trace.access_log = true,
             "--prof" => args.prof.enabled = true,

@@ -71,15 +71,6 @@ impl ServedModel {
         }
     }
 
-    /// The loaded model, when this is a static entry (a live entry's
-    /// state lives behind its own lock).
-    pub fn static_model(&self) -> Option<&FittedHoloDetect> {
-        match &self.source {
-            ModelSource::Static(m) => Some(m),
-            ModelSource::Live(_) => None,
-        }
-    }
-
     /// The streaming session, when this is a live entry.
     pub fn live(&self) -> Option<&Arc<LiveModel>> {
         match &self.source {
@@ -314,7 +305,6 @@ mod tests {
         // The old Arc still scores — hot swap never invalidates holders.
         assert_eq!(v0.generation(), 0);
         assert_eq!(v0.name(), "food");
-        assert!(v0.static_model().is_some());
         assert!(v0.live().is_none());
         std::fs::remove_file(&path).ok();
     }

@@ -52,22 +52,13 @@ use crate::drift::{DriftMonitor, DriftReport, DriftThresholds, SignalStat};
 use holo_adapt::{AdaptConfig, AdaptiveRefit, RowLabel};
 use holo_data::{binio, CellId, Dataset, DeltaLog, DeltaOp, Schema};
 use holo_eval::{ModelError, TrainedModel};
-use holo_prof::{ProfMutex, ProfRwLock};
+use holo_prof::{sat_add, ProfMutex, ProfRwLock};
 use holo_trace::{RefitTimeline, Stopwatch, TimelineRing};
 use holodetect::FittedHoloDetect;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::PoisonError;
-
-/// Saturating counter increment — lifetime counters must peg at
-/// `u64::MAX`, never wrap back to zero and fake a reset (the same
-/// `fetch_update` idiom the serving metrics use).
-fn sat_add(counter: &AtomicU64, v: u64) {
-    let _ = counter.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |c| {
-        Some(c.saturating_add(v))
-    });
-}
 
 /// The typed refusal mutating paths answer when a lock was poisoned by
 /// a panic elsewhere: half-applied state must not be mutated further.

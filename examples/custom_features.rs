@@ -33,8 +33,11 @@ fn main() {
         .next()
         .map(|(c, v)| (c, v.to_owned()))
         .expect("dataset has errors");
-    let dirty_vec = f.features(&g.dirty, cell);
-    let fixed_vec = f.features_with_value(&g.dirty, cell, &truth_value);
+    // Query the featurizer's own reference: in-sample, the override is
+    // scored with fit-time violation counts (any other dataset, even a
+    // copy, is scored as external tuples).
+    let dirty_vec = f.features(f.reference(), cell);
+    let fixed_vec = f.features_with_value(f.reference(), cell, &truth_value);
     println!(
         "cell t{}.{}: observed {:?} vs truth {:?}",
         cell.t(),

@@ -84,9 +84,12 @@ fn feature_vectors_distinguish_dirty_from_repaired() {
     let f = Featurizer::fit(&g.dirty, &g.constraints, FeatureConfig::fast());
     let mut differs = 0usize;
     let mut total = 0usize;
+    // In-sample: query the featurizer's own reference, so the override
+    // is scored with fit-time (self-excluding) violation counts.
+    let d = f.reference();
     for (cell, truth_value) in g.truth.error_cells().take(60) {
-        let dirty = f.features(&g.dirty, cell);
-        let fixed = f.features_with_value(&g.dirty, cell, truth_value);
+        let dirty = f.features(d, cell);
+        let fixed = f.features_with_value(d, cell, truth_value);
         total += 1;
         if dirty.iter().zip(&fixed).any(|(a, b)| (a - b).abs() > 1e-6) {
             differs += 1;

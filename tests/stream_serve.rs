@@ -66,7 +66,6 @@ fn start_server(registry: Arc<ModelRegistry>) -> RunningServer {
             },
             batch: BatchConfig {
                 max_batch_cells: 64,
-                max_wait: Duration::from_millis(5),
             },
             trace: TraceConfig::default(),
             prof: ProfConfig::default(),
