@@ -830,16 +830,19 @@ impl App {
         drop(validate_scope);
         trace.close();
 
+        let wait_start = trace.elapsed_micros();
         let (result, timing) = self.batcher.score_timed(Arc::clone(&model), data, cells);
         let scores = result.map_err(Failure::model)?;
-        // Queue wait and model call were measured on the batcher's
-        // side; lay them out back-to-back ending now.
+        // The model call was measured on the batcher's side and ends
+        // (up to the reply hand-off) now. Everything else this handler
+        // spent blocked in the batcher — the queue wait plus both
+        // thread hand-offs — is batch-wait, so the two spans tile it.
         let now = trace.elapsed_micros();
-        let score_start = now.saturating_sub(timing.score_micros);
+        let score_start = now.saturating_sub(timing.score_micros).max(wait_start);
         trace.child_at(
             "batch-wait",
-            score_start.saturating_sub(timing.batch_wait_micros),
-            timing.batch_wait_micros,
+            wait_start,
+            score_start.saturating_sub(wait_start),
         );
         trace.child_at("score", score_start, timing.score_micros);
         if prof {

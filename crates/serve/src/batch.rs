@@ -512,7 +512,7 @@ mod tests {
             let lead = foreign_batch(1);
             let lead_cells: Vec<CellId> = lead.cell_ids().collect();
             let (first, _) = job(&model, lead, lead_cells);
-            let (second, prefix_rx) = job(&model, prefix.clone(), at(3));
+            let (second, prefix_rx) = job(&model, prefix, at(3));
             let (third, alone_rx) = job(&model, alone, at(0));
             execute(first, vec![second, third], &metrics);
             for (rx, placement) in [(prefix_rx, "index 5"), (alone_rx, "index 6")] {
@@ -521,9 +521,22 @@ mod tests {
                 let scores = scores.expect("merged score");
                 assert_eq!(bits(&scores), bits(&own), "{kind}: merged at {placement}");
             }
+        }
+    }
 
-            // Through the batcher, solo or merged with concurrent foreign
-            // jobs, served scores equal direct calls.
+    #[test]
+    fn reference_aligned_rows_still_score_identically() {
+        // Rows that are reference rows at their own indices, mixed with
+        // foreign ones: through the batcher, solo or merged with
+        // concurrent foreign jobs, served scores equal direct calls, for
+        // a static and a streamed model.
+        for (model, dirty) in [served_model(), live_served_model()] {
+            let kind = if model.live().is_some() {
+                "live"
+            } else {
+                "static"
+            };
+            let prefix = rows(&dirty, 0..6);
             let batcher = MicroBatcher::start(BatchConfig::default(), Arc::new(Metrics::new()))
                 .expect("start batcher");
             std::thread::scope(|s| {
